@@ -1,7 +1,8 @@
 """Interpreter throughput benchmark: simulated instructions/second.
 
 Measures the specialized fast loops (``run``) and the reference loops
-(``run_reference``) on both cores, one tiny figure2 experiment cell, and
+(``run_reference``) on both cores, block-JIT codegen cost per table,
+one tiny figure2 experiment cell, and
 the run-level result cache + warm-up prefix forking (cold vs. cached cell
 wall-clock; cold vs. forked simulated-instance counts), and writes
 ``BENCH_speed.json`` at the repository root.  The JSON records the
@@ -229,6 +230,92 @@ def _measure_blockjit(min_seconds: float) -> dict:
         else:
             os.environ["REPRO_CACHE_DIR"] = saved
     return section
+
+
+def _measure_codegen() -> dict:
+    """Block-JIT codegen cost per (workload, engine) table: the twelve
+    tables a cold Table 3 builds, in a throwaway ``REPRO_CACHE_DIR``.
+
+    Per table: compile units, generated source bytes, emit and
+    ``compile()`` seconds of the cold build, the bytes of its cache blob,
+    and the warm load (in-process memo dropped, blob read back) with the
+    number of units that load had to compile (always 0).
+    """
+    import shutil
+    import tempfile
+
+    from repro.isa import blockjit
+    from repro.pipelines.ooo.core import OOOParams
+    from repro.visa.spec import VISASpec
+    from repro.workloads import WORKLOAD_NAMES, get_workload
+
+    saved = os.environ.get("REPRO_CACHE_DIR")
+    tmpdir = tempfile.mkdtemp(prefix="repro-bench-codegen-")
+    os.environ["REPRO_CACHE_DIR"] = tmpdir
+    real_emit = blockjit._emit_block
+    real_compile = blockjit._compile_unit
+    tally = {"source_bytes": 0, "emit_s": 0.0, "compile_s": 0.0, "units": 0}
+
+    def emit(*args, **kwargs):
+        start = time.perf_counter()
+        source = real_emit(*args, **kwargs)
+        tally["emit_s"] += time.perf_counter() - start
+        tally["source_bytes"] += len(source)
+        return source
+
+    def compile_unit(*args, **kwargs):
+        start = time.perf_counter()
+        code = real_compile(*args, **kwargs)
+        tally["compile_s"] += time.perf_counter() - start
+        tally["units"] += 1
+        return code
+
+    blockjit._emit_block = emit
+    blockjit._compile_unit = compile_unit
+    tables: dict = {}
+    try:
+        for name in WORKLOAD_NAMES:
+            program = get_workload(name, "tiny").program
+            machine = VISASpec().machine(program)
+            for engine, params in (("inorder", None), ("ooo", OOOParams())):
+                for key in tally:
+                    tally[key] = 0
+                program._blockjit_tables.clear()
+                table = blockjit.block_table(machine, engine, params)
+                cold = dict(tally)
+                path = blockjit._disk_path(engine, table.disk_key)
+                tally["units"] = 0
+                program._blockjit_tables.clear()
+                start = time.perf_counter()
+                blockjit.block_table(machine, engine, params)
+                warm_s = time.perf_counter() - start
+                tables[f"{name}/{engine}"] = {
+                    "units": cold["units"],
+                    "source_bytes": cold["source_bytes"],
+                    "emit_seconds": round(cold["emit_s"], 4),
+                    "compile_seconds": round(cold["compile_s"], 4),
+                    "cache_bytes": path.stat().st_size,
+                    "warm_load_seconds": round(warm_s, 4),
+                    "warm_compiles": tally["units"],
+                }
+    finally:
+        blockjit._emit_block = real_emit
+        blockjit._compile_unit = real_compile
+        shutil.rmtree(tmpdir, ignore_errors=True)
+        if saved is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = saved
+    totals = {
+        field: sum(t[field] for t in tables.values())
+        for field in (
+            "units", "source_bytes", "emit_seconds", "compile_seconds",
+            "cache_bytes", "warm_load_seconds", "warm_compiles",
+        )
+    }
+    for field in ("emit_seconds", "compile_seconds", "warm_load_seconds"):
+        totals[field] = round(totals[field], 4)
+    return {"host": _host_section(True), "tables": tables, "total": totals}
 
 
 def _measure_tracejit(min_seconds: float) -> dict:
@@ -579,6 +666,20 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     phase_start = time.perf_counter()
+    codegen_section = _measure_codegen()
+    phase_seconds["codegen"] = round(time.perf_counter() - phase_start, 3)
+    report["measured"]["codegen"] = codegen_section
+    total = codegen_section["total"]
+    print(
+        f"codegen 12 tables  {total['units']} units  "
+        f"{total['source_bytes'] / 1e6:.2f} MB source  "
+        f"emit {total['emit_seconds']:.3f}s  "
+        f"compile {total['compile_seconds']:.3f}s  "
+        f"cache {total['cache_bytes'] / 1e6:.2f} MB  "
+        f"warm load {total['warm_load_seconds']:.3f}s"
+    )
+
+    phase_start = time.perf_counter()
     trace_section = _measure_tracejit(min_seconds)
     phase_seconds["tracejit"] = round(time.perf_counter() - phase_start, 3)
     report["measured"]["tracejit"] = trace_section
@@ -686,6 +787,15 @@ def main(argv: list[str] | None = None) -> int:
             f"cached cell only {run_cache['cached_speedup']}x faster "
             "than cold (< 10x acceptance bar)"
         )
+    for label, table in codegen_section["tables"].items():
+        if not (table["units"] and table["source_bytes"]
+                and table["cache_bytes"]):
+            failures.append(f"codegen {label}: empty table or cache entry")
+        if table["warm_compiles"]:
+            failures.append(
+                f"codegen {label}: warm load compiled "
+                f"{table['warm_compiles']} units"
+            )
     if run_cache["forked_instance_reduction"] < 0.30:
         failures.append(
             "forked sweep reduction "

@@ -54,24 +54,36 @@ def default_jobs() -> int:
 
 def _cell_with_overrides(
     fn: Callable[[C], R],
-    no_cache: bool | None,
-    no_jit: bool | None,
-    ooo_sched: str | None,
+    no_cache: bool,
+    tier: str,
+    ooo_sched: str,
     cell: C,
 ) -> R:
-    """Run one cell under explicit cache-bypass / JIT / scheduler overrides.
+    """Run one cell under the caller's resolved settings.
 
     Module-level (and composed via :func:`functools.partial`) so the
-    resulting callable pickles into worker processes; the overrides are
+    resulting callable pickles into worker processes; the settings are
     re-entered *inside* each process rather than published through
     ``os.environ``, which concurrent in-process callers would race on.
+    They arrive resolved: a worker started by ``forkserver`` or
+    ``spawn`` does not inherit the caller's ContextVar overrides.
     """
     from repro.pipelines.ooo.sched import sched_override
 
-    jit = None if no_jit is None else not no_jit
     with runcache.no_cache_override(no_cache):
-        with blockjit.jit_override(jit), sched_override(ooo_sched):
+        with blockjit.tier_override(tier), sched_override(ooo_sched):
             return fn(cell)
+
+
+def _resolved_tier(no_jit: bool | None) -> str:
+    """The JIT tier a cell runs at: the caller's, unless ``no_jit``
+    forces the interpreter or (``False``) forces compilation on."""
+    if no_jit:
+        return "off"
+    tier = blockjit.jit_tier()
+    if no_jit is False and tier == "off":
+        return blockjit.DEFAULT_TIER
+    return tier
 
 
 def parallel_map(
@@ -93,21 +105,25 @@ def parallel_map(
     explicit parameter (``None`` defers to the ``REPRO_NO_CACHE``
     environment default) — global state is never mutated, so concurrent
     in-process callers cannot observe each other's setting.  ``no_jit``
-    threads ``--no-jit`` the same way (``None`` defers to ``REPRO_JIT``),
-    and ``ooo_sched`` the complex-core timing scheduler (``None`` defers
-    to ``REPRO_OOO_SCHED``).
+    forces the interpreter (``True``) or compilation (``False``); ``None``
+    keeps the caller's JIT tier.  ``ooo_sched`` picks the complex-core
+    timing scheduler (``None``: the caller's).  All three are resolved
+    here, in the caller, so every cell under every multiprocessing start
+    method runs with the same settings.
 
     Worker exceptions propagate to the caller (the pool is shut down
     eagerly; remaining cells may or may not have run, exactly like an
     exception mid-way through the serial loop).
     """
+    from repro.pipelines.ooo.sched import ooo_sched as active_sched
+
     items: Sequence[C] = cells if isinstance(cells, Sequence) else list(cells)
     if jobs is None:
         jobs = default_jobs()
-    call: Callable[[C], R] = (
-        fn
-        if no_cache is None and no_jit is None and ooo_sched is None
-        else partial(_cell_with_overrides, fn, no_cache, no_jit, ooo_sched)
+    call: Callable[[C], R] = partial(
+        _cell_with_overrides, fn,
+        runcache.cache_disabled() if no_cache is None else no_cache,
+        _resolved_tier(no_jit), ooo_sched or active_sched(),
     )
     if jobs <= 1 or len(items) <= 1:
         return [call(c) for c in items]

@@ -5,7 +5,10 @@ Python call per instruction plus the interpreter's per-instruction
 bookkeeping.  This module goes one step further: it groups the plan into
 basic blocks (boundaries from :func:`repro.wcet.cfg.build_cfg`, with a
 linear fallback when the CFG analysis rejects a program) and emits one
-specialized Python function *per block* via ``compile()``/``exec``.
+specialized Python function *per block*, each compiled on its own, in
+two variants: with a watchdog check after every instruction (run while
+the watchdog is live) and without (run while it is dead, which is
+always except in the VISA runtime's complex-mode phase).
 
 Within a generated block:
 
@@ -31,27 +34,28 @@ reference paths) may leave partially-updated batched state.
 The compiled block table is memoized on the :class:`~repro.isa.program.
 Program` and persisted under ``.repro_cache/blockjit/`` keyed by the
 program digest, cache geometry, and pipeline parameters (same
-``FORMAT_VERSION``/sha256 mechanism as the run cache).  Opt-out follows
-the PR 4 pattern: ``REPRO_JIT=0`` or ``--no-jit`` threaded as an
-explicit parameter into :func:`jit_override` — never ``os.environ``
+``FORMAT_VERSION``/sha256 mechanism as the run cache), as one marshal
+blob of the blocks' code objects led by the interpreter's bytecode
+magic number (:func:`read_blob`).  Opt-out: ``REPRO_JIT_TIER=off``,
+``REPRO_JIT=0`` or ``--no-jit``, threaded as an explicit parameter into
+:func:`tier_override`/:func:`jit_override` — never ``os.environ``
 mutation.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
+import importlib.util
+import io
 import marshal
 import os
-import re
-import sys
 import weakref
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import astuple
+from types import CodeType, FunctionType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.errors import AnalysisError, ReproError, SimulationError
@@ -76,7 +80,11 @@ if TYPE_CHECKING:
     from repro.isa.program import Program
 
 #: Bump when the emitted code changes shape; stale disk entries miss.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
+
+#: Bytecode magic of this interpreter: leads every codegen-cache blob,
+#: since marshalled code only loads in the Python that wrote it.
+_MAGIC = importlib.util.MAGIC_NUMBER
 
 _M = 0xFFFFFFFF
 _S = 0x80000000
@@ -99,6 +107,8 @@ _LIVE_TABLES: "weakref.WeakSet[Any]" = weakref.WeakSet()
 
 BlockFn = Callable[..., Any]
 BlockEntry = tuple[BlockFn, int]
+#: (checked variant?, block-start pc) -> (instruction count, code).
+Units = dict[tuple[bool, int], tuple[int, CodeType]]
 
 # --- tier selection (REPRO_JIT_TIER / REPRO_JIT / --no-jit) ------------------
 
@@ -471,76 +481,222 @@ def _ctr(name: str, add: int) -> str:
     return f"{name} + {add}" if add else name
 
 
-_TMAX_RE = re.compile(
-    r"^(\s+)t = ([A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])?)( \+ 1)?$"
-)
-_TMAX_IF_RE = re.compile(r"^(\s+)if t > ([A-Za-z_][A-Za-z0-9_]*):$")
-
-
-def _tighten_max(lines: list[str]) -> list[str]:
-    """Strength-reduce the scratch-``t`` max pattern in emitted code.
-
-    ``t = E; if t > x: x = t`` (with ``E`` a name, a literal subscript,
-    or either plus one) becomes a direct compare that skips the scratch
-    store/load — and computes ``E + 1`` only on the taken path.  ``t``
-    is write-before-read scratch at every emission site, so dropping an
-    assignment never leaks into a later read.
-    """
-    out: list[str] = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        m = _TMAX_RE.match(lines[i])
-        if m and i + 2 < n:
-            mi = _TMAX_IF_RE.match(lines[i + 1])
-            if (
-                mi
-                and mi.group(1) == m.group(1)
-                and lines[i + 2] == f"{m.group(1)}    {mi.group(2)} = t"
-            ):
-                ind, e, x = m.group(1), m.group(2), mi.group(2)
-                if m.group(3):  # E + 1 > x  <=>  E >= x (ints)
-                    out.append(f"{ind}if {e} >= {x}:")
-                    out.append(f"{ind}    {x} = {e} + 1")
-                else:
-                    out.append(f"{ind}if {e} > {x}:")
-                    out.append(f"{ind}    {x} = {e}")
-                i += 3
-                continue
-        out.append(lines[i])
-        i += 1
-    return out
-
-
-class _InOrderEmitter:
-    """Emit one in-order basic-block function (see layout comment above)."""
+class _Emitter:
+    """What the in-order and OOO block emitters share: the line buffer,
+    register tracker, inline LRU cache probes, architectural side
+    effects, and the watchdog tail of each instruction."""
 
     def __init__(self, geom: "_Geometry") -> None:
         self.g = geom
         self.lines: list[str] = []
         self.regs = _Regs(self.lines)
+        self.crr = 0
+        self.crw = 0
+        self.nex = 0
+        # Elide per-inst watchdog checks (the unchecked block variant and
+        # traces: the dispatcher only enters them with wd falsy);
+        # ``_wd_reload`` marks the insts that may flip wd (MMIO stores)
+        # and need a guarded exit instead.
+        self._wd_elide = False
+        self._wd_reload = False
+
+    def emit(self, ind: str, text: str) -> None:
+        self.lines.append(ind + text)
+
+    def _sync(self, ind: str, pc_expr: str, commit: bool | None = None) -> None:
+        raise NotImplementedError
+
+    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
+        self._sync(ind, pc_expr)
+        self.emit(ind, f"return {ret}")
+
+    def _lru(
+        self, ind: str, w: str, key: str, assoc: int, cache: str,
+        hit: list[str], miss: list[str],
+    ) -> None:
+        """Inline LRU access of ``key`` in the set dict ``w`` of the
+        ``cache`` ("i"/"d") cache, then the caller's hit/miss lines."""
+        b = ind + "    "
+        self.emit(ind, f"if {key} in {w}:")
+        self.emit(b, f"{w}[{key}] = {cache}tick")
+        self.emit(b, f"{cache}tick += 1")
+        self.emit(b, f"{cache}hits += 1")
+        for line in hit:
+            self.emit(b, line)
+        self.emit(ind, "else:")
+        self.emit(b, f"{w}[{key}] = {cache}tick")
+        self.emit(b, f"{cache}tick += 1")
+        self.emit(b, f"if len({w}) > {assoc}:")
+        self.emit(b + "    ", f"del {w}[min({w}, key={w}.__getitem__)]")
+        self.emit(b, f"{cache}miss += 1")
+        for line in miss:
+            self.emit(b, line)
+
+    def _dcache(
+        self, ind: str, i: int, a: str, hit: list[str], miss: list[str],
+    ) -> None:
+        """Inline D-cache access for address text ``a``."""
+        g = self.g
+        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
+        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
+        self._lru(ind, "w", f"b{i}", g.dassoc, "d", hit, miss)
+
+    def _alu(self, i: int, pc: int, inst: Any, wbank: int, dkey: int) -> None:
+        """Execute a K_ALU instruction (constant-folded when possible)."""
+        regs = self.regs
+        folded = _alu_fold(inst, regs)
+        if folded is not None:
+            if wbank != 0:
+                regs.write_const(dkey, folded)
+            return
+        expr, may_raise = _alu_expr(inst, regs, "    ")
+        if may_raise:
+            self._sync("    ", str(pc))
+        if wbank != 0:
+            self.emit("    ", f"{regs.write_name(dkey)} = {expr}")
+        elif may_raise:
+            self.emit("    ", f"v{i} = {expr}")
+
+    def _mem_guard(self, a: str) -> str:
+        """Misaligned or text-range data access: the machine raises."""
+        return f"if {a} & 3 or {self.g.tbase} <= {a} < {self.g.text_end}:"
+
+    def _load(
+        self, i: int, pc: int, a: str, wbank: int, dkey: int,
+        mmio_static: bool | None, mmio_now: str, mem_now: str,
+    ) -> None:
+        """A load's architectural side effects (MMIO or memory read)."""
+        ind = "    "
+        regs = self.regs
+        if wbank != 0:
+            regs.prepare_write(dkey, ind)
+            dest = regs.write_name(dkey)
+        else:
+            dest = f"v{i}"
+        mm = f"{dest} = mmio_read({a}, {mmio_now})"
+        mem_read = f"data_read({a}, {mem_now})"
+        mem_val = f"{dest} = words_get({a}, 0)"
+        if mmio_static is True:
+            self._sync(ind, str(pc), commit=False)
+            self.emit(ind, mm)
+        elif mmio_static is False:
+            self.emit(ind, self._mem_guard(a))
+            self._sync(ind + "    ", str(pc))
+            self.emit(ind + "    ", mem_read)
+            self.emit(ind, mem_val)
+        else:
+            self.emit(ind, f"if o{i}:")
+            self._sync(ind + "    ", str(pc))
+            self.emit(ind + "    ", mm)
+            self.emit(ind, "else:")
+            self.emit(ind + "    ", self._mem_guard(a))
+            self._sync(ind + "        ", str(pc))
+            self.emit(ind + "        ", mem_read)
+            self.emit(ind + "    ", mem_val)
+
+    def _store(
+        self, pc: int, a: str, vt: str, mmio_static: bool | None,
+        mmio_now: str, mem_now: str, commit: Callable[[str], None],
+    ) -> None:
+        """A store's architectural side effects: an MMIO write (which may
+        arm the watchdog) or a memory write, whose remaining memory-side
+        lines ``commit(indent)`` emits."""
+        ind = "    "
+        mm = [
+            f"mmio_write({a}, {vt}, {mmio_now})",
+            "wd = honor and not mmio.exceptions_masked and mmio._wd_enabled",
+            "wdx = mmio._wd_expiry",
+        ]
+        mem_write = f"data_write({a}, {vt}, {mem_now})"
+        if mmio_static is True:
+            self._wd_reload = True
+            self._sync(ind, str(pc))
+            for line in mm:
+                self.emit(ind, line)
+        elif mmio_static is False:
+            self.emit(ind, self._mem_guard(a))
+            self._sync(ind + "    ", str(pc))
+            self.emit(ind + "    ", mem_write)
+            commit(ind)
+        else:
+            self._wd_reload = True
+            self.emit(ind, f"if {a} >= {_MMIO}:")
+            self._sync(ind + "    ", str(pc))
+            for line in mm:
+                self.emit(ind + "    ", line)
+            self.emit(ind, "else:")
+            self.emit(ind + "    ", self._mem_guard(a))
+            self._sync(ind + "        ", str(pc))
+            self.emit(ind + "        ", mem_write)
+            commit(ind + "    ")
+
+    def _store_words(self, ind: str, a: str, vt: str) -> None:
+        """The memory-image store with the reference's int wrap check."""
+        try:
+            const = int(vt)
+        except ValueError:
+            self.emit(ind, f"if {vt}.__class__ is int:")
+            self.emit(ind + "    ",
+                      f"words[{a}] = (({vt} + {_S}) & {_M}) - {_S}")
+            self.emit(ind, "else:")
+            self.emit(ind + "    ", f"words[{a}] = {vt}")
+        else:
+            self.emit(ind, f"words[{a}] = {_wrap_s32(const)}")
+
+    def _next_pc(self, i: int, fi: Any) -> str:
+        """Text of the pc after control instruction ``fi`` (links
+        jump-and-link targets); ``npc`` for everything else."""
+        kind, dkey, wbank, npc, starget = fi[0], fi[3], fi[4], fi[8], fi[9]
+        if kind == K_BRANCH:
+            self.emit("    ", f"n{i} = {starget} if k{i} else {npc}")
+            return f"n{i}"
+        if kind == K_JUMP or kind == K_INDIRECT:
+            if wbank == 1:
+                self.regs.write_const(dkey, npc)
+            return str(starget) if kind == K_JUMP else f"g{i}"
+        return str(npc)
+
+    def _tail(self, kind: int, now: str, pc_next: str, is_last: bool) -> None:
+        """Exits after an instruction: halt, watchdog expiry at ``now``
+        (per instruction, or after a watchdog-arming MMIO store when
+        checks are elided), and the block end."""
+        ind = "    "
+        if kind == K_HALT:
+            self._exit(ind, pc_next, '"h"')
+            return
+        if not self._wd_elide:
+            self.emit(ind, f"if wd and {now} >= wdx:")
+            self._exit(ind + "    ", pc_next, '"w"')
+        elif self._wd_reload:
+            # Unchecked code: wd was falsy at entry, and only an MMIO
+            # store can flip it.  Reproduce the checked expiry test here,
+            # then exit — the dispatcher resumes at pc_next in the
+            # checked variants.
+            self.emit(ind, "if wd:")
+            self.emit(ind + "    ", f"if {now} >= wdx:")
+            self._exit(ind + "        ", pc_next, '"w"')
+            if not is_last:
+                self._exit(ind + "    ", pc_next, pc_next)
+        if is_last:
+            self._exit(ind, pc_next, pc_next)
+
+
+class _InOrderEmitter(_Emitter):
+    """Emit one in-order basic-block function (see layout comment above)."""
+
+    def __init__(self, geom: "_Geometry") -> None:
+        super().__init__(geom)
         # Semantic timing-state names -> current text (SSA per instruction).
         self.nm = {k: k for k in
                    ("lf", "rd", "xf", "mf", "pm", "q0", "q1", "q2")}
         self.cfe = 0
-        self.crr = 0
-        self.crw = 0
-        self.nex = 0
         # Statically-guaranteed icache hits, batched: pending tick count and
         # last way-write offset per (set, block).
         self.ip_count = 0
         self.ip_ways: dict[tuple[int, int], int] = {}
         self._last_line: dict[int, int] = {}
-        # Trace tier: elide per-inst watchdog checks behind an entry guard
-        # (wd must be falsy on entry); ``_wd_reload`` marks the insts that
-        # may flip wd (MMIO stores) and need a guarded side exit instead.
-        self._wd_elide = False
-        self._wd_reload = False
 
     # -- helpers --
-
-    def emit(self, ind: str, text: str) -> None:
-        self.lines.append(ind + text)
 
     def _pending_way_lines(self, ind: str) -> list[str]:
         out = []
@@ -587,10 +743,6 @@ class _InOrderEmitter:
             pc_expr, _ctr("nex", self.nex), "wd", "wdx",
         )) + ")")
 
-    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
-        self._sync(ind, pc_expr)
-        self.emit(ind, f"return {ret}")
-
     def _icache(self, i: int, pc: int, f: str) -> None:
         """Inline I-cache access for the fetch of ``pc`` (ind level 1)."""
         g = self.g
@@ -603,51 +755,15 @@ class _InOrderEmitter:
             self.ip_count += 1
         else:
             self._materialize_icache("    ")
-            w = f"iw{setk}"
-            self.emit("    ", f"if {blk} in {w}:")
-            self.emit("        ", f"{w}[{blk}] = itick")
-            self.emit("        ", "itick += 1")
-            self.emit("        ", "ihits += 1")
-            self.emit("    ", "else:")
-            self.emit("        ", f"{w}[{blk}] = itick")
-            self.emit("        ", "itick += 1")
-            self.emit("        ", f"if len({w}) > {g.iassoc}:")
-            self.emit("            ",
-                      f"del {w}[min({w}, key={w}.__getitem__)]")
-            self.emit("        ", "imiss += 1")
-            self.emit("        ", f"{f} += stall")
+            self._lru("    ", f"iw{setk}", str(blk), g.iassoc, "i", [],
+                      [f"{f} += stall"])
             self._last_line[setk] = blk
         self.cfe += 1
 
-    def _dcache(self, ind: str, i: int, a: str, d: str | None) -> None:
-        """Inline D-cache access for address text ``a``.
-
-        ``d`` names the dcache_extra local to set (None: caller only
-        needs the stats/LRU side effects — OOO store commit path).
-        """
-        g = self.g
-        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
-        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
-        self.emit(ind, f"if b{i} in w:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", "dhits += 1")
-        if d is not None:
-            self.emit(ind + "    ", f"{d} = 0")
-        self.emit(ind, "else:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", f"if len(w) > {g.dassoc}:")
-        self.emit(ind + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(ind + "    ", "dmiss += 1")
-        if d is not None:
-            self.emit(ind + "    ", f"{d} = stall")
-
     # -- main entry --
 
-    def emit_block(self, pc: int, insts: list[tuple[int, Any]]) -> str:
-        """Generate the block function source for ``insts`` at ``pc``."""
-        fname = f"_b{pc:x}"
+    def emit_block(self, fname: str, insts: list[tuple[int, Any]]) -> str:
+        """Generate the source of block function ``fname`` for ``insts``."""
         head = [
             f"def {fname}(ir, fr, ready, st, env):",
             f"    ({_INORDER_ENV}) = env",
@@ -661,14 +777,13 @@ class _InOrderEmitter:
             head.append(f"    iw{setk} = isets[{setk}]")
         for idx, (ipc, fi) in enumerate(insts):
             self._inst(idx, ipc, fi, is_last=idx == len(insts) - 1)
-        return "\n".join(head + _tighten_max(self.lines)) + "\n"
+        return "\n".join(head + self.lines) + "\n"
 
     def _inst(self, i: int, pc: int, fi: Any, is_last: bool) -> None:
-        (kind, _ex, src_keys, dkey, wbank, dnum, nsrc, lat,
-         npc, starget, ptaken, inst) = fi
+        (kind, _ex, src_keys, dkey, wbank, _dnum, nsrc, lat,
+         _npc, _starget, ptaken, inst) = fi
         n = self.nm
         regs = self.regs
-        g = self.g
         ind = "    "
         self._wd_reload = False
 
@@ -689,18 +804,7 @@ class _InOrderEmitter:
         mmio_static: bool | None = None
         vt = ""
         if kind == K_ALU:
-            folded = _alu_fold(inst, regs)
-            if folded is not None:
-                if wbank != 0:
-                    regs.write_const(dkey, folded)
-            else:
-                expr, may_raise = _alu_expr(inst, regs, ind)
-                if may_raise:
-                    self._sync(ind, str(pc))
-                if wbank != 0:
-                    self.emit(ind, f"{regs.write_name(dkey)} = {expr}")
-                elif may_raise:
-                    self.emit(ind, f"v{i} = {expr}")
+            self._alu(i, pc, inst, wbank, dkey)
         elif kind == K_LOAD or kind == K_STORE:
             base_c = regs.read_const(inst.rs)
             if kind == K_LOAD:
@@ -721,22 +825,23 @@ class _InOrderEmitter:
                     self.emit(ind, f"{a} = ({s_txt} + {inst.imm}) & _M")
             mmio_static = (const_addr >= _MMIO) if const_addr is not None \
                 else None
+            dc = ([f"{d} = 0"], [f"{d} = stall"])
             if mmio_static is True:
                 self.emit(ind, f"{d} = 0")
             elif mmio_static is False:
                 self.emit(ind, "cdc += 1")
-                self._dcache(ind, i, a, d)
+                self._dcache(ind, i, a, *dc)
             elif kind == K_LOAD:
                 self.emit(ind, f"o{i} = {a} >= {_MMIO}")
                 self.emit(ind, f"if o{i}:")
                 self.emit(ind + "    ", f"{d} = 0")
                 self.emit(ind, "else:")
                 self.emit(ind + "    ", "cdc += 1")
-                self._dcache(ind + "    ", i, a, d)
+                self._dcache(ind + "    ", i, a, *dc)
             else:
                 self.emit(ind, f"if {a} < {_MMIO}:")
                 self.emit(ind + "    ", "cdc += 1")
-                self._dcache(ind + "    ", i, a, d)
+                self._dcache(ind + "    ", i, a, *dc)
                 self.emit(ind, "else:")
                 self.emit(ind + "    ", f"{d} = 0")
         elif kind == K_BRANCH:
@@ -754,15 +859,13 @@ class _InOrderEmitter:
         # -- timing recurrence (inlined inorder_engine.advance) --
         x = f"x{i}"
         self.emit(ind, f"{x} = {f} + {_FRONT_DEPTH}")
-        self.emit(ind, f"t = {n['xf']} + 1")
-        self.emit(ind, f"if t > {x}:")
-        self.emit(ind + "    ", f"{x} = t")
+        self.emit(ind, f"if {n['xf']} >= {x}:")
+        self.emit(ind + "    ", f"{x} = {n['xf']} + 1")
         self.emit(ind, f"if {n['pm']} > {x}:")
         self.emit(ind + "    ", f"{x} = {n['pm']}")
         for sk in dict.fromkeys(src_keys):
-            self.emit(ind, f"t = ready[{sk}]")
-            self.emit(ind, f"if t > {x}:")
-            self.emit(ind + "    ", f"{x} = t")
+            self.emit(ind, f"if ready[{sk}] > {x}:")
+            self.emit(ind + "    ", f"{x} = ready[{sk}]")
         if lat == 1:
             xe = x
         else:
@@ -770,9 +873,8 @@ class _InOrderEmitter:
             self.emit(ind, f"{xe} = {x} + {lat - 1}")
         m = f"m{i}"
         self.emit(ind, f"{m} = {xe} + 1")
-        self.emit(ind, f"t = {n['mf']} + 1")
-        self.emit(ind, f"if t > {m}:")
-        self.emit(ind + "    ", f"{m} = t")
+        self.emit(ind, f"if {n['mf']} >= {m}:")
+        self.emit(ind + "    ", f"{m} = {n['mf']} + 1")
         if kind == K_LOAD or kind == K_STORE:
             if mmio_static is True:
                 u = m  # dcache_extra statically 0
@@ -801,119 +903,21 @@ class _InOrderEmitter:
         n["lf"], n["xf"], n["mf"], n["pm"] = f, xe, u, m
 
         # -- architectural side effects --
-        pc_next = str(npc)
         if kind == K_LOAD:
-            if wbank != 0:
-                regs.prepare_write(dkey, ind)
-                dest = regs.write_name(dkey)
-            else:
-                dest = f"v{i}"
-            mm = f"{dest} = mmio_read({a}, base + {m})"
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_read = f"data_read({a}, base + {u} + 1)"
-            mem_val = f"{dest} = words_get({a}, 0)"
-            if mmio_static is True:
-                self._sync(ind, str(pc), commit=False)
-                self.emit(ind, mm)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_read)
-                self.emit(ind, mem_val)
-            else:
-                self.emit(ind, f"if o{i}:")
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mm)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_read)
-                self.emit(ind + "    ", mem_val)
+            self._load(i, pc, a, wbank, dkey, mmio_static, f"base + {m}",
+                       f"base + {u} + 1")
         elif kind == K_STORE:
-            wr = self._store_words_lines(ind, a, vt)
-            mm = [
-                f"mmio_write({a}, {vt}, base + {m})",
-                "wd = honor and not mmio.exceptions_masked"
-                " and mmio._wd_enabled",
-                "wdx = mmio._wd_expiry",
-            ]
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_write = f"data_write({a}, {vt}, base + {u} + 1)"
-            if mmio_static is True:
-                self._wd_reload = True
-                self._sync(ind, str(pc))
-                for line in mm:
-                    self.emit(ind, line)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_write)
-                for line in wr:
-                    self.emit(ind, line)
-            else:
-                self._wd_reload = True
-                self.emit(ind, f"if {a} >= {_MMIO}:")
-                self._sync(ind + "    ", str(pc))
-                for line in mm:
-                    self.emit(ind + "    ", line)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_write)
-                for line in wr:
-                    self.emit(ind + "    ", line)
-        elif kind == K_BRANCH:
-            pc_next = f"n{i}"
-            self.emit(ind, f"{pc_next} = {starget} if k{i} else {npc}")
-        elif kind == K_JUMP:
-            if wbank == 1:
-                regs.write_const(dkey, npc)
-            pc_next = str(starget)
-        elif kind == K_INDIRECT:
-            if wbank == 1:
-                regs.write_const(dkey, npc)
-            pc_next = f"g{i}"
-        # K_ALU: write already folded into the execute section.  K_HALT:
-        # pc advances to npc (pc_next default).
+            self._store(pc, a, vt, mmio_static, f"base + {m}",
+                        f"base + {u} + 1",
+                        lambda b: self._store_words(b, a, vt))
+        pc_next = self._next_pc(i, fi)
 
         # -- event counters (statically known; become exit literals) --
         self.crr += nsrc
         if dkey >= 0:
             self.crw += 1
         self.nex += 1
-
-        if kind == K_HALT:
-            self._exit(ind, pc_next, '"h"')
-            return
-
-        if not self._wd_elide:
-            self.emit(ind, f"if wd and base + {u} + 1 >= wdx:")
-            self._exit(ind + "    ", pc_next, '"w"')
-        elif self._wd_reload:
-            # Trace tier: wd was falsy at trace entry, and only an MMIO
-            # store can flip it.  Reproduce the block tier's expiry check
-            # here, then side-exit — the block functions resume with
-            # their per-instruction checks.
-            self.emit(ind, "if wd:")
-            self.emit(ind + "    ", f"if base + {u} + 1 >= wdx:")
-            self._exit(ind + "        ", pc_next, '"w"')
-            self._exit(ind + "    ", pc_next, pc_next)
-
-        if is_last:
-            self._exit(ind, pc_next, pc_next)
-
-    def _store_words_lines(self, ind: str, a: str, vt: str) -> list[str]:
-        """The memory-image store with the reference's int wrap check."""
-        try:
-            const = int(vt)
-        except ValueError:
-            return [
-                f"if {vt}.__class__ is int:",
-                f"    words[{a}] = (({vt} + {_S}) & {_M}) - {_S}",
-                "else:",
-                f"    words[{a}] = {vt}",
-            ]
-        return [f"words[{a}] = {_wrap_s32(const)}"]
+        self._tail(kind, f"base + {u} + 1", pc_next, is_last)
 
 
 # --- OOO block emitter --------------------------------------------------------
@@ -949,8 +953,8 @@ _OOO_ST = (
 )
 
 # Event-mode layouts (REPRO_OOO_SCHED=event).  The st prefix [0..22] is
-# identical to the scan layout — the dispatcher's finally-flush and the
-# trace tier's watchdog entry guard index into it — with six appended
+# identical to the scan layout — the dispatcher's finally-flush and its
+# watchdog-variant choice index into it — with six appended
 # slots: 23 ri (ROB ring cursor), 24 qi (IQ ring cursor), 25 li (LSQ
 # ring cursor), 26 ccn (commits at the lc frontier cycle), 27 gh
 # (gshare global history), 28 ih (indirect-predictor history).  env
@@ -989,21 +993,19 @@ def _fwd_consumers(insts: list[tuple[int, Any]]) -> set[int]:
     return useful
 
 
-class _OOOEmitter:
+class _OOOEmitter(_Emitter):
     """Emit one complex-mode basic-block function (layout comment above)."""
 
     def __init__(
         self, geom: "_Geometry", params: Any, event: bool = False,
     ) -> None:
-        self.g = geom
+        super().__init__(geom)
         self.p = params
         #: Event-driven scheduler codegen (REPRO_OOO_SCHED=event): ring
         #: occupancy clamps, commit-frontier retirement, inlined
         #: predictors, in-block producer forwarding.  Bit-identical to
         #: the scan form by construction (see docs/performance.md).
         self.event = event
-        self.lines: list[str] = []
-        self.regs = _Regs(self.lines)
         # Commit-clamp name (the reference's ``last_commit``, updated at
         # the commit stage) vs sync name (``committed_now``'s cycle part,
         # which only advances *after* an instruction's side effects).
@@ -1019,9 +1021,6 @@ class _OOOEmitter:
         # (None = unknown, always bind; plain blocks precompute it).
         self._fwd_useful: set[int] | None = None
         self.cbp = 0
-        self.crr = 0
-        self.crw = 0
-        self.nex = 0
         self.nmem = 0
         self._prev_blk: int | None = None
         # Set by the trace emitter after a stitched-in branch: the
@@ -1030,12 +1029,6 @@ class _OOOEmitter:
         # across a stitch point, so the next group formation must use
         # the fully dynamic block-entry form.
         self._dyn_group = False
-        # Trace tier: see the in-order emitter.
-        self._wd_elide = False
-        self._wd_reload = False
-
-    def emit(self, ind: str, text: str) -> None:
-        self.lines.append(ind + text)
 
     def _sync(self, ind: str, pc_expr: str, commit: bool | None = None) -> None:
         """Write full architectural state to st before a may-raise op.
@@ -1058,50 +1051,7 @@ class _OOOEmitter:
             slots += ("ri", "qi", "li", "ccn", "gh", "ih")
         self.emit(ind, "st[:] = (" + ", ".join(slots) + ")")
 
-    def _exit(self, ind: str, pc_expr: str, ret: str) -> None:
-        self._sync(ind, pc_expr)
-        self.emit(ind, f"return {ret}")
-
-    def _dcache_hit(self, ind: str, i: int, a: str) -> None:
-        """Inline D-cache access setting the hit flag ``h{i}``."""
-        g = self.g
-        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
-        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
-        self.emit(ind, f"if b{i} in w:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", "dhits += 1")
-        self.emit(ind + "    ", f"h{i} = True")
-        self.emit(ind, "else:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", f"if len(w) > {g.dassoc}:")
-        self.emit(ind + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(ind + "    ", "dmiss += 1")
-        self.emit(ind + "    ", f"h{i} = False")
-
-    def _dcache_store_commit(self, ind: str, i: int, a: str, y: str) -> None:
-        """Store-commit D-cache access; a miss occupies the bus (fill)."""
-        g = self.g
-        self.emit(ind, f"b{i} = {a} >> {g.dshift}")
-        self.emit(ind, f"w = dsets[b{i} % {g.dnsets}]")
-        self.emit(ind, f"if b{i} in w:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", "dhits += 1")
-        self.emit(ind, "else:")
-        self.emit(ind + "    ", f"w[b{i}] = dtick")
-        self.emit(ind + "    ", "dtick += 1")
-        self.emit(ind + "    ", f"if len(w) > {g.dassoc}:")
-        self.emit(ind + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(ind + "    ", "dmiss += 1")
-        self.emit(ind + "    ", f"t = {y}")
-        self.emit(ind + "    ", "if bf > t:")
-        self.emit(ind + "        ", "t = bf")
-        self.emit(ind + "    ", "bf = t + pen")
-
-    def emit_block(self, pc: int, insts: list[tuple[int, Any]]) -> str:
-        fname = f"_o{pc:x}"
+    def emit_block(self, fname: str, insts: list[tuple[int, Any]]) -> str:
         head = [
             f"def {fname}(ir, fr, ready, st, env):",
             f"    ({_OOO_ENV_EVENT if self.event else _OOO_ENV}) = env",
@@ -1111,7 +1061,7 @@ class _OOOEmitter:
             self._fwd_useful = _fwd_consumers(insts)
         for idx, (ipc, fi) in enumerate(insts):
             self._inst(idx, ipc, fi, is_last=idx == len(insts) - 1)
-        return "\n".join(head + _tighten_max(self.lines)) + "\n"
+        return "\n".join(head + self.lines) + "\n"
 
     def _fetch_group(self, i: int, pc: int) -> None:
         """Fetch-group formation (reference 'fetch group' section)."""
@@ -1157,29 +1107,16 @@ class _OOOEmitter:
         self.emit(b, f"gb = {blk}")
         self.emit(b, "cg += 1")
         self.emit(b, f"w = isets[{setk}]")
-        self.emit(b, f"if {blk} in w:")
-        self.emit(b + "    ", f"w[{blk}] = itick")
-        self.emit(b + "    ", "itick += 1")
-        self.emit(b + "    ", "ihits += 1")
-        self.emit(b + "    ", "gd = fc")
-        self.emit(b, "else:")
-        self.emit(b + "    ", f"w[{blk}] = itick")
-        self.emit(b + "    ", "itick += 1")
-        self.emit(b + "    ", f"if len(w) > {self.g.iassoc}:")
-        self.emit(b + "        ", "del w[min(w, key=w.__getitem__)]")
-        self.emit(b + "    ", "imiss += 1")
-        self.emit(b + "    ", "t = fc")
-        self.emit(b + "    ", "if bf > t:")
-        self.emit(b + "        ", "t = bf")
-        self.emit(b + "    ", "bf = t + pen")
-        self.emit(b + "    ", "gd = bf")
-        self.emit(b + "    ", "fc = gd")
+        # A miss occupies the bus for the fill.
+        self._lru(b, "w", str(blk), self.g.iassoc, "i", ["gd = fc"], [
+            "t = fc", "if bf > t:", "    t = bf", "bf = t + pen", "gd = bf",
+            "fc = gd",
+        ])
 
     def _inst(self, i: int, pc: int, fi: Any, is_last: bool) -> None:
-        (kind, _ex, src_keys, dkey, wbank, dnum, nsrc, lat,
-         npc, starget, ptaken, inst) = fi
+        (kind, _ex, src_keys, dkey, wbank, _dnum, nsrc, lat,
+         _npc, _starget, _ptaken, inst) = fi
         regs = self.regs
-        g = self.g
         p = self.p
         ind = "    "
         self._wd_reload = False
@@ -1192,18 +1129,7 @@ class _OOOEmitter:
         mmio_static: bool | None = None
         vt = ""
         if kind == K_ALU:
-            folded = _alu_fold(inst, regs)
-            if folded is not None:
-                if wbank != 0:
-                    regs.write_const(dkey, folded)
-            else:
-                expr, may_raise = _alu_expr(inst, regs, ind)
-                if may_raise:
-                    self._sync(ind, str(pc))
-                if wbank != 0:
-                    self.emit(ind, f"{regs.write_name(dkey)} = {expr}")
-                elif may_raise:
-                    self.emit(ind, f"v{i} = {expr}")
+            self._alu(i, pc, inst, wbank, dkey)
         elif kind == K_LOAD or kind == K_STORE:
             base_c = regs.read_const(inst.rs)
             s_txt = "" if base_c is not None else regs.read(inst.rs, ind)
@@ -1276,15 +1202,13 @@ class _OOOEmitter:
                 ("iq_issues", p.iq_entries),
             ):
                 self.emit(ind, f"if len({q}) == {n_entries}:")
-                self.emit(ind + "    ", f"t = {q}[0] + 1")
-                self.emit(ind + "    ", f"if t > {d}:")
-                self.emit(ind + "        ", f"{d} = t")
+                self.emit(ind + "    ", f"if {q}[0] >= {d}:")
+                self.emit(ind + "        ", f"{d} = {q}[0] + 1")
             if is_mem:
                 self.nmem += 1
                 self.emit(ind, f"if len(lsq_commits) == {p.lsq_entries}:")
-                self.emit(ind + "    ", "t = lsq_commits[0] + 1")
-                self.emit(ind + "    ", f"if t > {d}:")
-                self.emit(ind + "        ", f"{d} = t")
+                self.emit(ind + "    ", f"if lsq_commits[0] >= {d}:")
+                self.emit(ind + "        ", f"{d} = lsq_commits[0] + 1")
         self.emit(ind, f"while (vd := dis_get({d}, 0)) >= {p.dispatch_width}:")
         self.emit(ind + "    ", f"{d} += 1")
         self.emit(ind, f"dis_used[{d}] = vd + 1")
@@ -1294,9 +1218,9 @@ class _OOOEmitter:
         self.emit(ind, f"{s} = {d} + 1")
         for sk in dict.fromkeys(src_keys):
             fwd = self._fwd.get(sk) if self.event else None
-            self.emit(ind, f"t = {fwd if fwd is not None else f'ready[{sk}]'}")
-            self.emit(ind, f"if t > {s}:")
-            self.emit(ind + "    ", f"{s} = t")
+            src = fwd if fwd is not None else f"ready[{sk}]"
+            self.emit(ind, f"if {src} > {s}:")
+            self.emit(ind + "    ", f"{s} = {src}")
         if is_mem:
             self.emit(ind, "while True:")
             self.emit(ind + "    ",
@@ -1416,77 +1340,13 @@ class _OOOEmitter:
             self.lc = y
 
         # -- architectural side effects --
-        pc_next = str(npc)
         if kind == K_LOAD:
-            if wbank != 0:
-                regs.prepare_write(dkey, ind)
-                dest = regs.write_name(dkey)
-            else:
-                dest = f"v{i}"
-            mm = f"{dest} = mmio_read({a}, base + {x} + 1)"
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_read = f"data_read({a}, base + {y})"
-            mem_val = f"{dest} = words_get({a}, 0)"
-            if mmio_static is True:
-                self._sync(ind, str(pc), commit=False)
-                self.emit(ind, mm)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_read)
-                self.emit(ind, mem_val)
-            else:
-                self.emit(ind, f"if o{i}:")
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mm)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_read)
-                self.emit(ind + "    ", mem_val)
+            self._load(i, pc, a, wbank, dkey, mmio_static,
+                       f"base + {x} + 1", f"base + {y}")
         elif kind == K_STORE:
-            mm = [
-                f"mmio_write({a}, {vt}, base + {y})",
-                "wd = honor and not mmio.exceptions_masked"
-                " and mmio._wd_enabled",
-                "wdx = mmio._wd_expiry",
-            ]
-            mem_guard = f"if {a} & 3 or {g.tbase} <= {a} < {g.text_end}:"
-            mem_write = f"data_write({a}, {vt}, base + {y})"
-            if mmio_static is True:
-                self._wd_reload = True
-                self._sync(ind, str(pc))
-                for line in mm:
-                    self.emit(ind, line)
-            elif mmio_static is False:
-                self.emit(ind, mem_guard)
-                self._sync(ind + "    ", str(pc))
-                self.emit(ind + "    ", mem_write)
-                self._store_commit(ind, i, a, vt, c, y)
-            else:
-                self._wd_reload = True
-                self.emit(ind, f"if {a} >= {_MMIO}:")
-                self._sync(ind + "    ", str(pc))
-                for line in mm:
-                    self.emit(ind + "    ", line)
-                self.emit(ind, "else:")
-                self.emit(ind + "    ", mem_guard)
-                self._sync(ind + "        ", str(pc))
-                self.emit(ind + "        ", mem_write)
-                self._store_commit(ind + "    ", i, a, vt, c, y)
-        elif kind == K_BRANCH:
-            pc_next = f"n{i}"
-            self.emit(ind, f"{pc_next} = {starget} if k{i} else {npc}")
-        elif kind == K_JUMP:
-            if wbank == 1:
-                regs.write_const(dkey, npc)
-            pc_next = str(starget)
-        elif kind == K_INDIRECT:
-            if wbank == 1:
-                regs.write_const(dkey, npc)
-            pc_next = f"g{i}"
-        # K_ALU: write already folded into the execute section.  K_HALT:
-        # pc advances to npc (pc_next default).
+            self._store(pc, a, vt, mmio_static, f"base + {y}", f"base + {y}",
+                        lambda b: self._store_commit(b, i, a, vt, c, y))
+        pc_next = self._next_pc(i, fi)
         self.lc_sync = y
 
         if dkey >= 0:
@@ -1502,23 +1362,7 @@ class _OOOEmitter:
                 if self.event:
                     self._fwd.pop(dkey, None)
         self.nex += 1
-
-        if kind == K_HALT:
-            self._exit(ind, pc_next, '"h"')
-            return
-
-        if not self._wd_elide:
-            self.emit(ind, f"if wd and base + {y} >= wdx:")
-            self._exit(ind + "    ", pc_next, '"w"')
-        elif self._wd_reload:
-            # Trace tier: see the in-order emitter's tail.
-            self.emit(ind, "if wd:")
-            self.emit(ind + "    ", f"if base + {y} >= wdx:")
-            self._exit(ind + "        ", pc_next, '"w"')
-            self._exit(ind + "    ", pc_next, pc_next)
-
-        if is_last:
-            self._exit(ind, pc_next, pc_next)
+        self._tail(kind, f"base + {y}", pc_next, is_last)
 
     def _load_mem_timing(self, ind: str, i: int, a: str, x: str,
                          c: str) -> None:
@@ -1526,12 +1370,11 @@ class _OOOEmitter:
         self.emit(ind, f"e{i} = get_inflight({a})")
         self.emit(ind, f"fw{i} = e{i} is not None and e{i}[1] > {x}")
         self.emit(ind, "cdc += 1")
-        self._dcache_hit(ind, i, a)
+        self._dcache(ind, i, a, [f"h{i} = True"], [f"h{i} = False"])
         self.emit(ind, f"if fw{i}:")
         self.emit(ind + "    ", f"{c} = e{i}[0] + 1")
-        self.emit(ind + "    ", f"t = {x} + 1")
-        self.emit(ind + "    ", f"if t > {c}:")
-        self.emit(ind + "        ", f"{c} = t")
+        self.emit(ind + "    ", f"if {x} >= {c}:")
+        self.emit(ind + "        ", f"{c} = {x} + 1")
         self.emit(ind, f"elif h{i}:")
         self.emit(ind + "    ", f"{c} = {x} + 2")
         self.emit(ind, "else:")
@@ -1543,19 +1386,13 @@ class _OOOEmitter:
 
     def _store_commit(self, ind: str, i: int, a: str, vt: str, c: str,
                       y: str) -> None:
-        """Non-MMIO store commit: words write, D-cache, LSQ in-flight entry."""
-        try:
-            const = int(vt)
-        except ValueError:
-            self.emit(ind, f"if {vt}.__class__ is int:")
-            self.emit(ind + "    ",
-                      f"words[{a}] = (({vt} + {_S}) & {_M}) - {_S}")
-            self.emit(ind, "else:")
-            self.emit(ind + "    ", f"words[{a}] = {vt}")
-        else:
-            self.emit(ind, f"words[{a}] = {_wrap_s32(const)}")
+        """Non-MMIO store commit: words write, D-cache (a miss occupies
+        the bus for the fill), LSQ in-flight entry."""
+        self._store_words(ind, a, vt)
         self.emit(ind, "cdc += 1")
-        self._dcache_store_commit(ind, i, a, y)
+        self._dcache(ind, i, a, [], [
+            f"t = {y}", "if bf > t:", "    t = bf", "bf = t + pen",
+        ])
         self.emit(ind, f"inflight_stores[{a}] = ({c}, {y})")
 
 
@@ -1593,8 +1430,9 @@ _EXEC_GLOBALS: dict[str, Any] = {
 }
 
 
-def _fname(engine: str, pc: int) -> str:
-    return f"_b{pc:x}" if engine == "inorder" else f"_o{pc:x}"
+def _fname(engine: str, pc: int, checked: bool = False) -> str:
+    name = f"_b{pc:x}" if engine == "inorder" else f"_o{pc:x}"
+    return name + "_w" if checked else name
 
 
 def _leaders(program: "Program") -> set[int]:
@@ -1642,19 +1480,37 @@ def _collect_block(
 
 def _emit_block(
     engine: str, geom: _Geometry, params: Any, start: int,
-    insts: list[tuple[int, Any]], sched: str = "scan",
+    insts: list[tuple[int, Any]], sched: str = "scan", checked: bool = False,
 ) -> str:
+    """Source of one block function: the ``checked`` variant exits when
+    the watchdog expires after any instruction; the other only after an
+    MMIO store, the one instruction that can arm the watchdog."""
+    em: _InOrderEmitter | _OOOEmitter
     if engine == "inorder":
-        return _InOrderEmitter(geom).emit_block(start, insts)
-    return _OOOEmitter(
-        geom, params, event=sched == "event"
-    ).emit_block(start, insts)
+        em = _InOrderEmitter(geom)
+    else:
+        em = _OOOEmitter(geom, params, event=sched == "event")
+    em._wd_elide = not checked
+    return em.emit_block(_fname(engine, start, checked), insts)
+
+
+def _compile_unit(source: str, filename: str) -> CodeType:
+    """Compile one generated ``def`` alone; return the function's code."""
+    module = compile(source, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 class BlockTable:
     """Compiled blocks of one (program, engine, geometry, params, tier).
 
-    ``blocks`` maps block-start pc to ``(function, length)``.
+    Each block has up to two variants, each its own compile unit (one
+    ``def`` compiled alone: compiling a whole program as one module is
+    superlinear in its size).  ``blocks`` maps block-start pc to
+    ``(function, length)`` for the variant run while the watchdog is
+    dead, ``checked`` for the one with per-instruction watchdog checks,
+    run while it is live; the dispatchers pick by the watchdog slot of
+    ``st`` at each block entry.
+
     ``safe_breaks`` is the set of addresses guaranteed never to be
     block-interior (sub-task marks + entry), i.e. the breakpoint sets the
     block dispatcher can honor exactly.  Superblock traces never contain
@@ -1664,7 +1520,8 @@ class BlockTable:
     On the trace tier, ``hot_counts`` profiles block dispatch counts;
     once a block crosses the hotness threshold, :meth:`promote` stitches
     the chain starting there into one trace function and installs it
-    over the block entry, so the dispatchers need no second lookup.
+    over the block entry in ``blocks``, so the dispatchers need no
+    second lookup.  Traces assume a dead watchdog, like ``blocks``.
     """
 
     def __init__(
@@ -1673,23 +1530,31 @@ class BlockTable:
         engine: str,
         geom: _Geometry,
         params: Any,
-        namespace: dict[str, Any],
-        blocks: dict[int, BlockEntry],
+        disk_key: str,
         tier: str = "block",
-        disk_key: str | None = None,
         sched: str = "scan",
     ) -> None:
         self.program = program
         self.engine = engine
         self.geom = geom
         self.params = params
-        self.blocks = blocks
-        self.tier = tier
         self.disk_key = disk_key
+        self.tier = tier
         #: OOO timing-scheduler codegen this table was built for
         #: ("scan"/"event"; always "scan" for the in-order engine).
         self.sched = sched
-        self._ns = namespace
+        self.blocks: dict[int, BlockEntry] = {}
+        self.checked: dict[int, BlockEntry] = {}
+        #: Every block compile unit, and the keys of those known to be
+        #: in the table's cache blob.
+        self.units: Units = {}
+        self.stored: set[tuple[bool, int]] = set()
+        #: Units were compiled during a run: the dispatcher saves at
+        #: its end.
+        self.unsaved = False
+        #: The trace blob was read or written here (append to it).
+        self.traces_stored = False
+        self._ns: dict[str, Any] = dict(_EXEC_GLOBALS)
         self.safe_breaks: frozenset[int] = (
             frozenset(program.subtask_marks) | {program.entry}
         )
@@ -1698,18 +1563,53 @@ class BlockTable:
         self.hot_threshold = 0
         #: head pc -> (fname, n_blocks, n_insts) for installed traces.
         self.traces_meta: dict[int, tuple[str, int, int]] = {}
-        #: head pc -> generated source, for disk persistence.
-        self.trace_sources: dict[int, str] = {}
-        #: head pc -> compiled code object (marshalled on store).
-        self.trace_codes: dict[int, Any] = {}
+        #: head pc -> compiled trace code (marshalled on store).
+        self.trace_codes: dict[int, CodeType] = {}
         self._no_trace: set[int] = set()
         # [calls, side exits]: bumped by the generated trace code itself.
-        namespace.setdefault("_tr", [0, 0])
+        self._ns["_tr"] = [0, 0]
         # Side-exit pc -> count: bumped by the generated side-exit arms
         # (``repro cache stats`` surfaces the breakdown).
-        sx: dict[int, int] = namespace.setdefault("_sx", {})
-        namespace.setdefault("_sx_get", sx.get)
+        sx: dict[int, int] = {}
+        self._ns["_sx"] = sx
+        self._ns["_sx_get"] = sx.get
         _LIVE_TABLES.add(self)
+
+    def function(self, code: CodeType) -> BlockFn:
+        """Bind generated ``code`` to this table's globals, by its name."""
+        fn = FunctionType(code, self._ns)
+        self._ns[code.co_name] = fn
+        return fn
+
+    def install(
+        self, checked: bool, pc: int, length: int, code: CodeType,
+    ) -> BlockEntry:
+        """Make a compiled (or loaded) block unit dispatchable."""
+        entry = (self.function(code), length)
+        (self.checked if checked else self.blocks)[pc] = entry
+        self.units[(checked, pc)] = (length, code)
+        return entry
+
+    def compile_block(
+        self, pc: int, insts: list[tuple[int, Any]], checked: bool,
+    ) -> BlockEntry:
+        source = _emit_block(
+            self.engine, self.geom, self.params, pc, insts, self.sched,
+            checked,
+        )
+        code = _compile_unit(source, f"<blockjit:{self.engine}:{pc:#x}>")
+        return self.install(checked, pc, len(insts), code)
+
+    def save(self) -> None:
+        """Append the units compiled since the cache blob was last read
+        or written to it; without a blob known to be good (or if the
+        append finds none), write every unit to a new one."""
+        self.unsaved = False
+        fresh = {k: u for k, u in self.units.items() if k not in self.stored}
+        if not (self.stored and _store_disk(self, fresh, append=True)):
+            if not _store_disk(self, self.units, append=False):
+                return
+        self.stored.update(self.units)
 
     def promote(self, pc: int, entry: BlockEntry) -> BlockEntry:
         """Try to replace the hot block at ``pc`` with a stitched trace.
@@ -1729,8 +1629,8 @@ class BlockTable:
 
     def trace_summary(self) -> dict[str, Any]:
         """Formation and runtime stats for the installed traces."""
-        tr = self._ns.get("_tr", [0, 0])
-        sx: dict[int, int] = self._ns.get("_sx", {})
+        tr = self._ns["_tr"]
+        sx: dict[int, int] = self._ns["_sx"]
         metas = list(self.traces_meta.values())
         n = len(metas)
         calls = int(tr[0])
@@ -1751,26 +1651,33 @@ class BlockTable:
             },
         }
 
-    def block_at(self, pc: int) -> BlockEntry:
-        """The block starting at ``pc``, compiling on demand.
+    def block_at(self, pc: int, checked: bool = False) -> BlockEntry:
+        """The ``checked`` (watchdog-live) or unchecked variant of the
+        block starting at ``pc``, compiling it on demand.
 
-        Dynamic targets (indirect jumps into addresses that were not
-        static leaders) are compiled in-process and not persisted.
+        Each is its own compile unit: one ``def`` compiled alone and
+        bound to the table's globals.  A block's second variant takes
+        the shape of its first; dynamic targets (indirect jumps to, or
+        watchdog-arming exits at, non-leader addresses) run to the next
+        control instruction or safe break.  Units compiled here mark the
+        table unsaved: the dispatcher appends them to the cache blob (a
+        marshal record of code objects behind the interpreter's
+        bytecode magic) when the run ends.
         """
-        entry = self.blocks.get(pc)
+        entry = (self.checked if checked else self.blocks).get(pc)
         if entry is not None:
             return entry
         if not self.program.contains(pc):
             raise ReproError(f"no instruction at {pc:#x}")
-        insts = _collect_block(self.program, pc, self.safe_breaks)
-        source = _emit_block(
-            self.engine, self.geom, self.params, pc, insts, self.sched
-        )
-        code = compile(source, f"<blockjit:{self.engine}:{pc:#x}>", "exec")
-        exec(code, self._ns)  # noqa: S102 - executing our own codegen
-        entry = (self._ns[_fname(self.engine, pc)], len(insts))
-        self.blocks[pc] = entry
-        return entry
+        twin = self.units.get((not checked, pc))
+        if twin is None:
+            insts = _collect_block(self.program, pc, self.safe_breaks)
+        else:
+            fast = self.program.fast_plan()
+            first = (pc - self.program.text_base) >> 2
+            insts = [(pc + 4 * k, fast[first + k]) for k in range(twin[0])]
+        self.unsaved = True
+        return self.compile_block(pc, insts, checked)
 
 
 def _disk_key(
@@ -1795,94 +1702,123 @@ def _disk_key(
         "params": list(params_tuple) if params_tuple is not None else None,
     }
     if engine == "ooo" and sched == "event":
-        # Event-mode codegen keys separately; scan keys are unchanged so
-        # existing cache entries stay valid.
+        # Event-mode codegen keys separately from scan-mode codegen.
         payload["sched"] = sched
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:24]
+
+
+def read_blob(data: bytes, header: tuple[Any, ...]) -> list[Any] | None:
+    """The record bodies of a codegen-cache blob, or None on a miss.
+
+    A blob is this interpreter's bytecode magic number followed by one
+    or more marshalled ``(header, body)`` records: the first written
+    with the blob, each later one appended with what was compiled since.
+    Another Python's magic, a stale header, or a torn or truncated
+    record makes the whole blob a miss.
+    """
+    if not data.startswith(_MAGIC):
+        return None
+    stream = io.BytesIO(data)
+    stream.seek(len(_MAGIC))
+    bodies = []
+    try:
+        while stream.tell() < len(data):
+            stored, body = marshal.load(stream)
+            if stored != header:
+                return None
+            bodies.append(body)
+    except (EOFError, ValueError, TypeError):
+        return None
+    return bodies or None
+
+
+def write_blob(
+    path: "Path", header: tuple[Any, ...], body: Any, append: bool,
+) -> bool:
+    """Append ``body`` as one more record to the blob at ``path``, or
+    (not ``append``) replace it with a new blob; False if not written."""
+    from repro.snapshot import runcache
+
+    record = marshal.dumps((header, body))
+    if append:
+        return runcache.append_bytes(path, record)
+    return runcache.atomic_write_bytes(path, _MAGIC + record)
 
 
 def _disk_path(engine: str, key: str) -> "Path":
     from repro.snapshot import runcache
 
-    return runcache.cache_dir() / "blockjit" / f"{engine}-{key}.json"
+    return runcache.cache_dir() / "blockjit" / f"{engine}-{key}.bin"
 
 
-def _load_disk(engine: str, key: str) -> dict | None:
-    from repro.snapshot import runcache
+def _table_header(engine: str) -> tuple[Any, ...]:
     from repro.snapshot.state import FORMAT_VERSION
+
+    return (FORMAT_VERSION, CODEGEN_VERSION, engine)
+
+
+def _load_disk(engine: str, key: str) -> Units | None:
+    """The block units stored for ``key``, or None (a miss)."""
+    from repro.snapshot import runcache
 
     if runcache.cache_disabled():
         return None
     try:
-        payload = json.loads(_disk_path(engine, key).read_text())
-    except (OSError, ValueError):
-        runcache.STATS["blockjit_misses"] += 1
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != FORMAT_VERSION
-        or payload.get("codegen") != CODEGEN_VERSION
-        or payload.get("engine") != engine
-    ):
+        data = _disk_path(engine, key).read_bytes()
+    except OSError:
+        data = b""
+    bodies = read_blob(data, _table_header(engine))
+    units: Units = {}
+    try:
+        for body in bodies or ():
+            units.update(body)
+    except (TypeError, ValueError):  # records of another shape
+        bodies = None
+    if bodies is None:
         runcache.STATS["blockjit_misses"] += 1
         return None
     runcache.STATS["blockjit_hits"] += 1
-    return payload
+    return units
 
 
-def _store_disk(engine: str, key: str, payload: dict) -> None:
+def _store_disk(table: BlockTable, units: Units, append: bool) -> bool:
     from repro.snapshot import runcache
 
     if runcache.cache_disabled():
-        return
-    runcache.atomic_write_json(_disk_path(engine, key), payload)
-    runcache.STATS["blockjit_stores"] += 1
+        return False
+    written = write_blob(
+        _disk_path(table.engine, table.disk_key),
+        _table_header(table.engine), units, append,
+    )
+    if written:
+        runcache.STATS["blockjit_stores"] += 1
+    return written
 
 
 def _build_table(
     program: "Program", engine: str, geom: _Geometry, params: Any,
     params_tuple: tuple | None, tier: str = "block", sched: str = "scan",
+    checked: bool = False,
 ) -> BlockTable:
-    from repro.snapshot.state import FORMAT_VERSION
-
-    key = _disk_key(program, engine, geom, params_tuple, sched)
-    ns = dict(_EXEC_GLOBALS)
-    blocks: dict[int, BlockEntry] = {}
-    payload = _load_disk(engine, key)
-    if payload is not None:
-        code = None
-        # Warm fast path: the marshaled code object skips compile(), which
-        # dominates load time.  Marshal is interpreter-specific, so it is
-        # only trusted under the same cache tag; anything else (older
-        # entries, another Python) falls back to recompiling the source.
-        if payload.get("python") == sys.implementation.cache_tag:
-            try:
-                code = marshal.loads(base64.b64decode(payload["code"]))
-            except (KeyError, ValueError, EOFError, TypeError):
-                code = None
-        if code is None:
-            code = compile(
-                payload["source"], f"<blockjit:{engine}:{key}>", "exec"
-            )
-        exec(code, ns)  # noqa: S102 - executing our own (cached) codegen
-        for spc, (fname, blen) in payload["blocks"].items():
-            blocks[int(spc)] = (ns[fname], int(blen))
-        return _finish_table(
-            BlockTable(program, engine, geom, params, ns, blocks,
-                       tier=tier, disk_key=key, sched=sched)
-        )
+    table = BlockTable(
+        program, engine, geom, params,
+        _disk_key(program, engine, geom, params_tuple, sched),
+        tier=tier, sched=sched,
+    )
+    units = _load_disk(engine, table.disk_key)
+    if units is not None:
+        for (checked, pc), (length, code) in units.items():
+            table.install(checked, pc, length, code)
+        table.stored = set(units)
+        return _finish_table(table)
 
     leaders = _leaders(program)
     stops = frozenset(leaders)
     pending = sorted(leaders)
     seen = set(pending)
-    sources: list[str] = []
-    meta: dict[str, list] = {}
-    while pending:
-        start = pending.pop(0)
+    for start in pending:  # grows while iterating
         insts = _collect_block(program, start, stops)
-        sources.append(_emit_block(engine, geom, params, start, insts, sched))
-        meta[str(start)] = [_fname(engine, start), len(insts)]
+        table.compile_block(start, insts, checked)
         # A run split at the fuse cap continues in a follow-on block.
         last_pc, last_fi = insts[-1]
         cont = last_pc + 4
@@ -1893,24 +1829,8 @@ def _build_table(
         ):
             seen.add(cont)
             pending.append(cont)
-    source = "\n".join(sources)
-    code = compile(source, f"<blockjit:{engine}:{key}>", "exec")
-    exec(code, ns)  # noqa: S102 - executing our own codegen
-    for spc, (fname, blen) in meta.items():
-        blocks[int(spc)] = (ns[fname], int(blen))
-    _store_disk(engine, key, {
-        "format": FORMAT_VERSION,
-        "codegen": CODEGEN_VERSION,
-        "engine": engine,
-        "source": source,
-        "python": sys.implementation.cache_tag,
-        "code": base64.b64encode(marshal.dumps(code)).decode("ascii"),
-        "blocks": meta,
-    })
-    return _finish_table(
-        BlockTable(program, engine, geom, params, ns, blocks,
-                   tier=tier, disk_key=key, sched=sched)
-    )
+    table.save()
+    return _finish_table(table)
 
 
 def _finish_table(table: BlockTable) -> BlockTable:
@@ -1926,15 +1846,22 @@ def _finish_table(table: BlockTable) -> BlockTable:
 
 def block_table(
     machine: Any, engine: str, params: Any = None, tier: str | None = None,
+    checked: bool = False,
 ) -> BlockTable:
     """The (memoized) compiled block table for ``machine``'s program.
 
     Memoized on the Program keyed by engine, cache geometry, pipeline
     parameters, and tier, so cores sharing a program (and VISA instances
-    sharing a workload) compile once per process; the generated source
-    additionally persists under ``.repro_cache/blockjit/``.  ``tier``
+    sharing a workload) compile once per process; the compiled units
+    additionally persist under ``.repro_cache/blockjit/``.  ``tier``
     defaults to the active :func:`jit_tier` (an explicit ``"off"`` is
     clamped to ``"block"`` — callers gate on :func:`jit_enabled`).
+
+    ``checked``: the calling run may arm the watchdog (exceptions
+    unmasked and honored), so a table built for it compiles every
+    leader's checked variant up front — nearly all of its code will run
+    with the watchdog live — rather than the unchecked one.  The other
+    variant of a block is compiled when first needed.
     """
     if tier is None:
         tier = jit_tier()
@@ -1962,7 +1889,7 @@ def block_table(
     table = tables.get(memo_key)
     if table is None:
         table = _build_table(
-            program, engine, geom, params, params_tuple, tier, sched
+            program, engine, geom, params, params_tuple, tier, sched, checked
         )
         tables[memo_key] = table
     return table
@@ -2025,16 +1952,18 @@ def run_inorder(
     fr = state.fp_regs
     ready = core._fast_ready  # noqa: SLF001
     blocks = table.blocks
+    checked = table.checked
     block_at = table.block_at
     counts = table.hot_counts
     hot = table.hot_threshold
     pc = state.pc
     try:
         while True:
-            entry = blocks.get(pc)
+            live = st[20]  # watchdog live: run the checked variant
+            entry = (checked if live else blocks).get(pc)
             if entry is None:
-                entry = block_at(pc)
-            if counts is not None:
+                entry = block_at(pc, live)
+            if counts is not None and not live:
                 c = counts.get(pc, 0) + 1
                 counts[pc] = c
                 if c == hot:
@@ -2061,6 +1990,8 @@ def run_inorder(
                 exception_cycle=min(now, st[21]),
             )
     finally:
+        if table.unsaved:
+            table.save()
         # Mirror the interpreter's finally-flush exactly (shared
         # _fast_timing/_fast_ready keep the two paths interleavable).
         ft[0] = st[0]
@@ -2178,6 +2109,7 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
     ir = state.int_regs
     fr = state.fp_regs
     blocks = table.blocks
+    checked = table.checked
     block_at = table.block_at
     counts = table.hot_counts
     hot = table.hot_threshold
@@ -2185,10 +2117,11 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
     pruned_at = 0
     try:
         while True:
-            entry = blocks.get(pc)
+            live = st[21]  # watchdog live: run the checked variant
+            entry = (checked if live else blocks).get(pc)
             if entry is None:
-                entry = block_at(pc)
-            if counts is not None:
+                entry = block_at(pc, live)
+            if counts is not None and not live:
                 c = counts.get(pc, 0) + 1
                 counts[pc] = c
                 if c == hot:
@@ -2236,6 +2169,8 @@ def run_ooo(core: Any, table: BlockTable, honor_watchdog: bool = True) -> Any:
                 exception_cycle=min(now, st[22]),
             )
     finally:
+        if table.unsaved:
+            table.save()
         if event:
             gshare.history = st[27]
             indirect.history = st[28]
@@ -2279,8 +2214,9 @@ def disk_cache_stats() -> dict:
     """On-disk blockjit cache stats plus in-process hit/miss/store counters.
 
     ``tiers`` breaks the totals down by codegen tier: block-table
-    entries (``{engine}-{key}.json``) vs stitched-trace entries
-    (``{engine}-{key}.traces.json``).
+    entries (``{engine}-{key}.bin``) vs stitched-trace entries
+    (``{engine}-{key}.traces.bin``).  Entries in the old JSON format
+    are not counted (nothing reads them; ``clear`` removes them).
     """
     from repro.snapshot import runcache
 
@@ -2293,14 +2229,14 @@ def disk_cache_stats() -> dict:
     }
     if directory.is_dir():
         for path in directory.iterdir():
-            if path.is_file() and path.suffix == ".json":
+            if path.is_file() and path.suffix == ".bin":
                 try:
                     size = path.stat().st_size
                 except OSError:
                     continue
                 total += size
                 entries += 1
-                tier = ("trace" if path.name.endswith(".traces.json")
+                tier = ("trace" if path.name.endswith(".traces.bin")
                         else "block")
                 tiers[tier]["entries"] += 1
                 tiers[tier]["bytes"] += size
@@ -2338,7 +2274,8 @@ def disk_cache_stats() -> dict:
 
 
 def clear_disk_cache() -> tuple[int, int]:
-    """Delete the blockjit codegen cache; ``(files_removed, bytes_freed)``."""
+    """Delete the blockjit codegen cache, old-format JSON entries
+    included; ``(files_removed, bytes_freed)``."""
     from repro.snapshot import runcache
 
     removed = freed = 0
@@ -2346,7 +2283,7 @@ def clear_disk_cache() -> tuple[int, int]:
     if not directory.is_dir():
         return 0, 0
     for path in directory.iterdir():
-        if path.is_file() and path.suffix in (".json", ".tmp"):
+        if path.is_file() and path.suffix in (".bin", ".json", ".tmp"):
             try:
                 size = path.stat().st_size
                 path.unlink()

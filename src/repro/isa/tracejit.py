@@ -31,23 +31,19 @@ into one *superblock* function:
 Trace functions share the block functions' signature and return
 protocol, so they install directly *over* the hot block's entry in
 ``BlockTable.blocks`` — both dispatchers consume them with no extra
-lookup.  The bit-identical contract of :mod:`blockjit` carries over
-unchanged.  Compiled traces persist next to the block payloads under
-``.repro_cache/blockjit/`` as ``{engine}-{key}.traces.json`` with the
-same format-version/digest keying.
+lookup.  Like the blocks in that map they are specialized for a dead
+watchdog (the dispatchers enter them only then).  The bit-identical
+contract of :mod:`blockjit` carries over unchanged.  Compiled traces
+persist next to the block blobs under ``.repro_cache/blockjit/`` as
+``{engine}-{key}.traces.bin``, one marshal blob in the same format.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import marshal
 import re
-import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ReproError
 from repro.isa import blockjit
 from repro.isa.fastexec import K_BRANCH, K_HALT, K_INDIRECT, K_JUMP
 
@@ -55,7 +51,7 @@ if TYPE_CHECKING:
     from pathlib import Path
 
 #: Bump when the emitted trace code changes shape; stale entries miss.
-TRACE_CODEGEN_VERSION = 2
+TRACE_CODEGEN_VERSION = 3
 
 #: Dispatch count at which a block is promoted to a trace head.
 HOT_THRESHOLD = 16
@@ -198,16 +194,13 @@ class _InOrderTraceEmitter(blockjit._InOrderEmitter):
     def emit_trace(self, head: int, segments: list[Segment]) -> str:
         g = self.g
         # Traces are specialized for a disabled watchdog (the common
-        # case): the entry guard delegates to the head's block function
-        # (per-inst checks intact) when wd is truthy, and any MMIO store
-        # that may flip wd gets a guarded side exit instead.
+        # case; the dispatcher runs the checked block variants while it
+        # is live), and any MMIO store that may flip wd gets a guarded
+        # side exit.
         self._wd_elide = True
         lines = [
             f"def {_trace_fname('inorder', head)}(ir, fr, ready, st, env):",
             "    _tr[0] += 1",
-            "    if st[20]:",
-            f"        return {blockjit._fname('inorder', head)}"
-            "(ir, fr, ready, st, env)",
             f"    ({blockjit._INORDER_ENV}) = env",
             f"    ({blockjit._INORDER_ST}) = st",
         ]
@@ -240,9 +233,6 @@ class _OOOTraceEmitter(blockjit._OOOEmitter):
         lines = [
             f"def {_trace_fname('ooo', head)}(ir, fr, ready, st, env):",
             "    _tr[0] += 1",
-            "    if st[21]:",
-            f"        return {blockjit._fname('ooo', head)}"
-            "(ir, fr, ready, st, env)",
             f"    ({env_names}) = env",
             f"    ({st_names}) = st",
         ]
@@ -385,7 +375,6 @@ def _peephole(lines: list[str]) -> list[str]:
     lines = _dedup_spills(lines)
     lines = [_fold_line(line) for line in lines]
     lines = _drop_adjacent_syncs(lines)
-    lines = blockjit._tighten_max(lines)
     return _drop_dead_stores(lines)
 
 
@@ -407,17 +396,22 @@ def compile_trace(table: Any, head: int) -> Any | None:
     source = _emit_trace(
         table.engine, table.geom, table.params, head, segments, table.sched
     )
-    code = compile(source, f"<tracejit:{table.engine}:{head:#x}>", "exec")
-    exec(code, table._ns)  # noqa: S102 - executing our own codegen
-    n_insts = sum(len(insts) for _, insts, _ in segments)
-    entry = (table._ns[_trace_fname(table.engine, head)], n_insts)
-    table.blocks[head] = entry
-    table.traces_meta[head] = (
-        _trace_fname(table.engine, head), len(segments), n_insts
+    code = blockjit._compile_unit(
+        source, f"<tracejit:{table.engine}:{head:#x}>"
     )
-    table.trace_sources[head] = source
+    n_insts = sum(len(insts) for _, insts, _ in segments)
+    entry = _install(table, head, code, len(segments), n_insts)
+    _store_traces(table, head)
+    return entry
+
+
+def _install(
+    table: Any, head: int, code: Any, n_blocks: int, n_insts: int,
+) -> Any:
+    entry = (table.function(code), n_insts)
+    table.blocks[head] = entry
+    table.traces_meta[head] = (code.co_name, n_blocks, n_insts)
     table.trace_codes[head] = code
-    _store_traces(table)
     return entry
 
 
@@ -426,98 +420,69 @@ def _trace_path(table: Any) -> "Path":
 
     return (
         runcache.cache_dir() / "blockjit"
-        / f"{table.engine}-{table.disk_key}.traces.json"
+        / f"{table.engine}-{table.disk_key}.traces.bin"
     )
 
 
-def _store_traces(table: Any) -> None:
-    """Persist every installed trace of ``table`` (atomic full rewrite).
-
-    Each trace's already-compiled code object is marshalled individually
-    — nothing is recompiled here, so the cost of storing trace *n* is
-    O(total trace bytes), not O(n * compile time).
-    """
-    from repro.snapshot import runcache
+def _trace_header(table: Any) -> tuple[Any, ...]:
     from repro.snapshot.state import FORMAT_VERSION
 
-    if runcache.cache_disabled() or table.disk_key is None:
+    return (
+        FORMAT_VERSION, blockjit.CODEGEN_VERSION, TRACE_CODEGEN_VERSION,
+        table.engine,
+    )
+
+
+def _store_traces(table: Any, head: int) -> None:
+    """Persist the trace just installed at ``head``.
+
+    Appended as one record to the table's trace blob when that blob is
+    known good; otherwise every installed trace goes into a new blob.
+    The already-compiled code objects are marshalled — nothing is
+    recompiled here.
+    """
+    from repro.snapshot import runcache
+
+    if runcache.cache_disabled():
         return
-    runcache.atomic_write_json(_trace_path(table), {
-        "format": FORMAT_VERSION,
-        "codegen": blockjit.CODEGEN_VERSION,
-        "trace_codegen": TRACE_CODEGEN_VERSION,
-        "engine": table.engine,
-        "python": sys.implementation.cache_tag,
-        "sources": {str(h): s for h, s in table.trace_sources.items()},
-        "codes": {
-            str(h): base64.b64encode(marshal.dumps(c)).decode("ascii")
-            for h, c in table.trace_codes.items()
-        },
-        "traces": {
-            str(h): list(m) for h, m in table.traces_meta.items()
-        },
-    })
-    runcache.STATS["tracejit_stores"] += 1
+    path, header = _trace_path(table), _trace_header(table)
+
+    def body(heads: Any) -> dict[int, tuple[int, int, Any]]:
+        return {
+            h: (table.traces_meta[h][1], table.traces_meta[h][2],
+                table.trace_codes[h])
+            for h in heads
+        }
+
+    if table.traces_stored and blockjit.write_blob(
+        path, header, body([head]), append=True
+    ):
+        runcache.STATS["tracejit_stores"] += 1
+    elif blockjit.write_blob(
+        path, header, body(table.traces_meta), append=False
+    ):
+        table.traces_stored = True
+        runcache.STATS["tracejit_stores"] += 1
 
 
 def load_traces(table: Any) -> None:
     """Warm-load persisted traces into ``table`` (install over blocks)."""
     from repro.snapshot import runcache
-    from repro.snapshot.state import FORMAT_VERSION
 
-    if runcache.cache_disabled() or table.disk_key is None:
+    if runcache.cache_disabled():
         return
     try:
-        payload = json.loads(_trace_path(table).read_text())
-    except (OSError, ValueError):
+        data = _trace_path(table).read_bytes()
+    except OSError:
+        data = b""
+    bodies = blockjit.read_blob(data, _trace_header(table))
+    if bodies is None:
         runcache.STATS["tracejit_misses"] += 1
         return
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != FORMAT_VERSION
-        or payload.get("codegen") != blockjit.CODEGEN_VERSION
-        or payload.get("trace_codegen") != TRACE_CODEGEN_VERSION
-        or payload.get("engine") != table.engine
-        or not isinstance(payload.get("sources"), dict)
-        or not isinstance(payload.get("traces"), dict)
-    ):
-        runcache.STATS["tracejit_misses"] += 1
-        return
-    sources = {int(h): str(s) for h, s in payload["sources"].items()}
-    marshalled = payload.get("codes")
-    same_python = payload.get("python") == sys.implementation.cache_tag
-    if not isinstance(marshalled, dict):
-        marshalled = {}
-    for shead, (fname, n_blocks, n_insts) in payload["traces"].items():
-        head = int(shead)
-        if head not in sources:
-            continue
-        if blockjit._fname(table.engine, head) not in table._ns:
-            # The entry guard delegates to the head's block function by
-            # name.  Heads that were dynamic dispatch targets (compiled
-            # on demand, never persisted) have no function in a freshly
-            # restored namespace yet — compile the block before the
-            # trace is installed over its table slot.
-            try:
-                table.block_at(head)
-            except ReproError:
-                continue
-        code = None
-        if same_python and shead in marshalled:
-            try:
-                code = marshal.loads(base64.b64decode(marshalled[shead]))
-            except (ValueError, EOFError, TypeError):
-                code = None
-        if code is None:
-            code = compile(
-                sources[head],
-                f"<tracejit:{table.engine}:{head:#x}>", "exec",
-            )
-        exec(code, table._ns)  # noqa: S102 - executing our own (cached) codegen
-        table.blocks[head] = (table._ns[fname], int(n_insts))
-        table.traces_meta[head] = (str(fname), int(n_blocks), int(n_insts))
-        table.trace_sources[head] = sources[head]
-        table.trace_codes[head] = code
+    for traces in bodies:
+        for head, (n_blocks, n_insts, code) in traces.items():
+            _install(table, head, code, n_blocks, n_insts)
+    table.traces_stored = True
     runcache.STATS["tracejit_hits"] += 1
 
 

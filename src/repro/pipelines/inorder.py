@@ -158,7 +158,10 @@ class InOrderCore:
         behaviourally-identical oracle both are tested against.
         """
         if max_instructions is None and blockjit.jit_enabled():
-            table = blockjit.block_table(self.machine, "inorder")
+            table = blockjit.block_table(
+                self.machine, "inorder", checked=honor_watchdog
+                and not self.machine.mmio.exceptions_masked,
+            )
             if break_addrs is None or break_addrs <= table.safe_breaks:
                 return blockjit.run_inorder(
                     self, table, honor_watchdog, break_addrs

@@ -176,7 +176,10 @@ class ComplexCore:
         """
         if max_instructions is None and blockjit.jit_enabled():
             with sched_override(self._effective_sched()):
-                table = blockjit.block_table(self.machine, "ooo", self.params)
+                table = blockjit.block_table(
+                    self.machine, "ooo", self.params, checked=honor_watchdog
+                    and not self.machine.mmio.exceptions_masked,
+                )
                 return blockjit.run_ooo(self, table, honor_watchdog)
         return self._run_interp(max_instructions, honor_watchdog)
 

@@ -91,16 +91,44 @@ def no_cache_override(value: bool | None) -> Iterator[None]:
         _NO_CACHE_OVERRIDE.reset(token)
 
 
-def atomic_write_json(path: Path, payload) -> None:
-    """Best-effort atomic publish (concurrent workers may race on a key)."""
+def atomic_write_bytes(path: Path, data: bytes) -> bool:
+    """Best-effort atomic publish (concurrent workers may race on a key).
+
+    Returns False when the write failed: caching is best-effort, and the
+    computed result is still returned to the caller.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(canonical_json(payload))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError:
-        pass  # caching is best-effort; the computed result is still returned
+        return False
+    return True
+
+
+def append_bytes(path: Path, data: bytes) -> bool:
+    """Append ``data`` to the existing file at ``path`` in one ``write``.
+
+    Never creates the file; returns False when there is none (or on any
+    I/O error), so the caller can publish a whole new file instead.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    except OSError:
+        return False
+    try:
+        return os.write(fd, data) == len(data)
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
+
+
+def atomic_write_json(path: Path, payload) -> None:
+    """:func:`atomic_write_bytes` of ``payload`` as canonical JSON."""
+    atomic_write_bytes(path, canonical_json(payload).encode())
 
 
 # -- key derivation -------------------------------------------------------------

@@ -17,6 +17,10 @@ reference interpreter:
   counters observable through :data:`runcache.STATS`).
 """
 
+import builtins
+import importlib.util
+import marshal
+
 import pytest
 
 from repro.errors import SimulationError
@@ -609,3 +613,144 @@ def test_trace_summary_reports_side_exits():
     assert top["mean_insts"] >= 1.0
     assert top["calls"] >= 1
     assert 0.0 <= top["side_exit_rate"] <= 1.0
+
+
+# -- codegen-cache failure paths ----------------------------------------------
+
+
+def _corrupt_magic(data):
+    return bytes([data[0] ^ 0xFF]) + data[1:]
+
+
+def _truncate(data):
+    return data[: len(data) // 2]
+
+
+def _stale_codegen(data):
+    from repro.snapshot.state import FORMAT_VERSION
+
+    header = (FORMAT_VERSION, blockjit.CODEGEN_VERSION, "inorder")
+    (body,) = blockjit.read_blob(data, header)
+    stale = (FORMAT_VERSION, blockjit.CODEGEN_VERSION - 1, "inorder")
+    return importlib.util.MAGIC_NUMBER + marshal.dumps((stale, body))
+
+
+def _malformed_record(data):
+    from repro.snapshot.state import FORMAT_VERSION
+
+    header = (FORMAT_VERSION, blockjit.CODEGEN_VERSION, "inorder")
+    return importlib.util.MAGIC_NUMBER + marshal.dumps((header, [1, 2]))
+
+
+@pytest.mark.parametrize(
+    "damage", [_corrupt_magic, _truncate, _stale_codegen, _malformed_record],
+    ids=["foreign-magic", "truncated", "stale-codegen-version", "malformed"],
+)
+def test_bad_cache_entry_is_a_miss_and_restored(damage, tmp_path):
+    """An entry another Python wrote, a torn write, or an entry from an
+    older code generator is regenerated, re-stored, and runs exactly."""
+    program = compile_source(_program(5))
+    program._blockjit_tables.clear()
+    with blockjit.tier_override("block"):
+        InOrderCore(Machine(program)).run()
+    (path,) = (tmp_path / "blockjit").glob("inorder-*.bin")
+    good = path.read_bytes()
+    path.write_bytes(damage(good))
+
+    program._blockjit_tables.clear()
+    runcache.reset_stats()
+    with blockjit.tier_override("block"):
+        jit, ref = _run_jit_vs_reference(program, InOrderCore)
+    assert jit == ref
+    assert runcache.STATS["blockjit_misses"] == 1
+    assert runcache.STATS["blockjit_hits"] == 0
+    assert runcache.STATS["blockjit_stores"] == 1
+    assert blockjit.read_blob(
+        path.read_bytes(), blockjit._table_header("inorder")
+    ) is not None
+    runcache.reset_stats()
+
+
+@BOTH_CORES
+def test_warm_rebuild_from_disk_compiles_nothing(core_cls, monkeypatch):
+    """A table restored from its blob runs without a single compile()."""
+    program = get_workload("cnt", "tiny").program
+    program._blockjit_tables.clear()
+    cold = _tier_outcome(program, core_cls, "block")[0]
+
+    calls = []
+    real_compile = builtins.compile
+
+    def counting_compile(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("filename"))
+        return real_compile(*args, **kwargs)
+
+    program._blockjit_tables.clear()
+    runcache.reset_stats()
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    warm = _tier_outcome(program, core_cls, "block")[0]
+    monkeypatch.undo()
+    assert warm == cold
+    assert calls == []
+    assert runcache.STATS["blockjit_hits"] == 1
+    assert runcache.STATS["blockjit_stores"] == 0
+    runcache.reset_stats()
+
+
+def test_watchdog_variants_compile_on_first_need():
+    """Masked runs compile only unchecked blocks; the checked variant of
+    a block appears the first time it is entered with the watchdog live,
+    and both variants persist in the table's blob."""
+    program = get_workload("cnt", "tiny").program
+    program._blockjit_tables.clear()
+    with blockjit.tier_override("block"):
+        InOrderCore(Machine(program)).run()
+    (table,) = program._blockjit_tables.values()
+    assert table.blocks and not table.checked
+
+    machine = Machine(program)
+    machine.mmio.exceptions_masked = False
+    machine.mmio.write(layout.WATCHDOG_COUNT, 1 << 30, 0)
+    machine.mmio.write(layout.WATCHDOG_CTRL, 1, 0)
+    with blockjit.tier_override("block"):
+        InOrderCore(machine).run()
+    assert table.checked
+    assert set(table.checked) <= set(table.blocks)
+    assert not table.unsaved
+    # The new units were appended to the blob as a second record.
+    blob = blockjit._disk_path("inorder", table.disk_key).read_bytes()
+    records = blockjit.read_blob(blob, blockjit._table_header("inorder"))
+    assert len(records) == 2
+    assert set(records[1]) == {(True, pc) for pc in table.checked}
+
+    program._blockjit_tables.clear()
+    with blockjit.tier_override("block"):
+        InOrderCore(Machine(program)).run()
+    (restored,) = program._blockjit_tables.values()
+    assert set(restored.checked) == set(table.checked)
+
+
+def test_cache_stats_and_clear_count_blobs_and_old_json(tmp_path, capsys):
+    """``repro cache stats`` counts blobs per tier; ``clear`` also removes
+    entries in the old JSON format."""
+    from repro.cli import main
+
+    program = get_workload("cnt", "tiny").program
+    program._blockjit_tables.clear()
+    with blockjit.tier_override("trace"):
+        InOrderCore(Machine(program)).run()
+    directory = tmp_path / "blockjit"
+    old = [directory / "inorder-0123.json", directory / "ooo-0123.traces.json"]
+    for path in old:
+        path.write_text("{}")
+
+    tiers = blockjit.disk_cache_stats()["tiers"]
+    assert tiers["block"]["entries"] == 1
+    assert tiers["trace"]["entries"] == 1
+    assert main(["cache", "stats"]) == 0
+    out = capsys.readouterr().out
+    assert "codegen block entries" in out and "codegen trace entries" in out
+
+    assert main(["cache", "clear"]) == 0
+    assert not any(path.exists() for path in old)
+    assert not directory.exists()

@@ -9,13 +9,19 @@ analyzer would have computed.
 
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments import common, figure2
+from repro.experiments import common, figure2, parallel
 from repro.experiments.parallel import default_jobs, parallel_map
+from repro.isa import blockjit
+from repro.pipelines.ooo.sched import ooo_sched, sched_override
+from repro.snapshot import runcache
 
 
 def _square(x: int) -> int:
@@ -53,6 +59,67 @@ class TestParallelMap:
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ReproError):
             default_jobs()  # surfaces as a one-line CLI diagnostic
+
+
+def _cell_settings(_cell: int) -> tuple[str, str]:
+    return blockjit.jit_tier(), ooo_sched()
+
+
+def _cell_cache_disabled(_cell: int) -> bool:
+    return runcache.cache_disabled()
+
+
+class TestSettingsReachCells:
+    """Every cell runs with the caller's JIT tier and OOO scheduler."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env(self, monkeypatch):
+        for name in ("REPRO_JIT", "REPRO_JIT_TIER", "REPRO_OOO_SCHED"):
+            monkeypatch.delenv(name, raising=False)
+
+    def test_serial_cache_override_keeps_caller_tier(self):
+        # Passing another override must not drop the caller's tier.
+        with blockjit.tier_override("off"):
+            cells = parallel_map(_cell_settings, [0, 1], jobs=1, no_cache=True)
+        assert cells == [("off", "event")] * 2
+
+    def test_caller_cache_override_reaches_cells(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        with runcache.no_cache_override(True):
+            assert parallel_map(
+                _cell_cache_disabled, [0, 1], jobs=1, no_jit=True
+            ) == [True, True]
+        assert parallel_map(
+            _cell_cache_disabled, [0], jobs=1, no_cache=True
+        ) == [True]
+
+    def test_serial_no_jit_flags(self):
+        with blockjit.tier_override("trace"):
+            assert parallel_map(
+                _cell_settings, [0], jobs=1, no_jit=True
+            ) == [("off", "event")]
+            assert parallel_map(
+                _cell_settings, [0], jobs=1, no_jit=False
+            ) == [("trace", "event")]
+        with blockjit.tier_override("off"):
+            assert parallel_map(
+                _cell_settings, [0], jobs=1, no_jit=False
+            ) == [(blockjit.DEFAULT_TIER, "event")]
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_workers_see_caller_settings(self, method, monkeypatch):
+        # forkserver and spawn workers start without the caller's
+        # ContextVars, so the settings must travel with each cell.
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+        ))
+        with blockjit.tier_override("trace"), sched_override("scan"):
+            cells = parallel_map(_cell_settings, [0, 1], jobs=2)
+        assert cells == [("trace", "scan")] * 2
+        with runcache.no_cache_override(True):
+            assert parallel_map(
+                _cell_cache_disabled, [0, 1], jobs=2
+            ) == [True, True]
 
 
 class TestSerialParallelEquivalence:
